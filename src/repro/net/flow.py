@@ -69,24 +69,30 @@ class Stream:
     offset are never overwritten by retransmissions or overlaps, matching
     common IDS reassembly policy.  ``data()`` returns the longest contiguous
     prefix assembled so far.
+
+    Each buffered byte lives in exactly one place: the contiguous prefix
+    in ``_assembled``, or an out-of-order segment beyond it in
+    ``segments``.  Segments are popped into the prefix as holes fill, so
+    a checkpoint pickles every byte once.
     """
 
     key: FlowKey
     base_seq: int | None = None
-    #: offset → segment bytes; zero-copy ``memoryview`` slices land here
-    #: as-is and are only realized when the assembled prefix is built.
+    #: offset → out-of-order segment bytes beyond the prefix end;
+    #: zero-copy ``memoryview`` slices land here as-is and are only
+    #: realized when absorbed into the prefix.
     segments: dict[int, bytes | memoryview] = field(default_factory=dict)
     fin_seen: bool = False
     stats: FlowStats = field(default_factory=FlowStats)
-    #: bytes currently buffered across all segments, kept incrementally so
-    #: memory accounting never walks the segment dict.
+    #: bytes currently buffered (prefix plus segments), kept incrementally
+    #: so memory accounting never walks the segment dict.
     buffered: int = 0
-    #: incremental-assembly cache: the contiguous prefix assembled so far.
-    #: Segments are immutable once inserted (first writer wins), so the
-    #: prefix only ever grows — ``data()`` extends it instead of rebuilding
-    #: the whole byte string on every call (the old O(n^2) per-packet cost).
+    #: the contiguous prefix from offset zero.  Bytes are immutable once
+    #: inserted (first writer wins), so the prefix only ever grows, by
+    #: absorbing segments as holes fill, and is never rebuilt per packet.
     _assembled: bytearray = field(default_factory=bytearray, repr=False)
-    _dirty: bool = False
+    #: ``data()``'s bytes copy of the prefix, for direct callers; derived,
+    #: so never checkpointed, and not filled by ``window()``.
     _data_cache: bytes | None = field(default=None, repr=False)
 
     MAX_BUFFER = 4 * 1024 * 1024  # per-stream cap, mirrors real IDS limits
@@ -98,7 +104,7 @@ class Stream:
         state["segments"] = {
             off: bytes(seg) for off, seg in self.segments.items()
         }
-        state["_assembled"] = bytearray(self._assembled)
+        state["_data_cache"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -122,22 +128,32 @@ class Stream:
             delta = (1 << 32) - offset
             if delta >= self.MAX_BUFFER:
                 return 0
+            # Every offset shifts: the prefix no longer starts at zero, so
+            # it goes back to being an ordinary segment.
+            if self._assembled:
+                self.segments[0] = bytes(self._assembled)
+                self._assembled = bytearray()
+                self._data_cache = None
             self.segments = {off + delta: seg for off, seg in self.segments.items()}
             self.base_seq = tcp.seq
             offset = 0
-            # Every cached offset shifted: the assembled prefix is void.
-            self._assembled = bytearray()
-            self._data_cache = None
-            self._dirty = True
         if offset >= self.MAX_BUFFER:
             return 0
-        return self._insert(offset, pkt.payload[: self.MAX_BUFFER - offset])
+        trimmed = self._insert(offset, pkt.payload[: self.MAX_BUFFER - offset])
+        self._extend_assembled()
+        return trimmed
 
     def _insert(self, offset: int, data: bytes) -> int:
         """First-writer-wins merge; returns the bytes trimmed by overlap."""
-        self._dirty = True  # conservative: extension no-ops if nothing lands
-        trimmed = 0
-        # Trim against existing segments (first writer wins).
+        # Trim against the prefix [0, len(_assembled)) first: it is the
+        # union of the segments it absorbed, so trimming against it in one
+        # step removes exactly what trimming against each of them would.
+        trimmed = min(len(data), max(0, len(self._assembled) - offset))
+        if trimmed >= len(data):
+            return trimmed
+        offset += trimmed
+        data = data[trimmed:]
+        # Then against the out-of-order segments (first writer wins).
         for seg_off in sorted(self.segments):
             seg = self.segments[seg_off]
             seg_end = seg_off + len(seg)
@@ -167,29 +183,26 @@ class Stream:
         return trimmed
 
     def _extend_assembled(self) -> None:
-        """Advance the cached contiguous prefix over newly landed segments."""
-        if not self._dirty:
-            return
-        expected = len(self._assembled)
-        for offset in sorted(off for off in self.segments if off >= expected):
-            if offset != expected:
-                break
-            seg = self.segments[offset]
+        """Absorb the segments that now continue the prefix."""
+        seg = self.segments.pop(len(self._assembled), None)
+        while seg is not None:
             self._assembled += seg
-            expected += len(seg)
             self._data_cache = None
-        self._dirty = False
+            seg = self.segments.pop(len(self._assembled), None)
 
     def data(self) -> bytes:
         """Contiguous stream prefix from offset zero."""
-        self._extend_assembled()
         if self._data_cache is None:
             self._data_cache = bytes(self._assembled)
         return self._data_cache
 
+    def window(self, start: int) -> bytes:
+        """The contiguous prefix from offset ``start`` on, as one copy."""
+        with memoryview(self._assembled) as view:
+            return bytes(view[start:])
+
     def contiguous_length(self) -> int:
         """Length of the contiguous prefix, without materializing bytes."""
-        self._extend_assembled()
         return len(self._assembled)
 
     def total_buffered(self) -> int:

@@ -437,9 +437,9 @@ class SensorDaemon:
                 break
             pkt = item[0]
             t0 = time.perf_counter()
-            # A fleet engine returns None here (its alerts surface at
-            # flush, in deterministic merge order); keep the loop shape.
-            alerts = self.nids.process_packet(pkt) or ()
+            # A fleet engine returns only what a checkpoint barrier inside
+            # the call merged; the rest surfaces at flush.
+            alerts = self.nids.process_packet(pkt)
             self._latency.observe(time.perf_counter() - t0)
             self._processed.inc()
             n += 1

@@ -557,22 +557,26 @@ class SensorFleet:
             pkt.ip.proto if pkt.ip is not None else None,
             pkt.sport, pkt.dport)
 
-    def process_packet(self, pkt: Packet) -> None:
+    def process_packet(self, pkt: Packet) -> list[Alert]:
         """Dispatch one decoded packet to its flow's worker.
 
-        Alerts are not returned here — they surface, in deterministic
-        order, from :meth:`flush` / :meth:`process_trace`; the fleet
-        trades per-packet synchrony for throughput.
+        Alerts do not come back per packet — the fleet trades
+        per-packet synchrony for throughput.  What is returned is the
+        window a checkpoint barrier inside this call merged (in
+        deterministic order; usually nothing); the rest surfaces from
+        :meth:`flush` / :meth:`process_trace`.  A caller that delivers
+        what both return delivers every alert once.
         """
         if self.transport == "offset":
             raise ValueError(
                 "the offset transport dispatches capture extents, not "
                 "packets; feed it via process_capture()")
         shard = self._shard_of(pkt)
-        self._enqueue(shard, (self._seq, pkt.encode(), pkt.timestamp))
+        return self._enqueue(shard, (self._seq, pkt.encode(), pkt.timestamp))
 
-    def process_raw(self, raw: bytes, timestamp: float = 0.0) -> None:
-        """Dispatch one undecoded capture record.
+    def process_raw(self, raw: bytes, timestamp: float = 0.0) -> list[Alert]:
+        """Dispatch one undecoded capture record; returns what a barrier
+        inside the call emitted, like :meth:`process_packet`.
 
         The record is sharded by a bounded header peek
         (:meth:`Packet.peek_flow`) — the dispatcher never decodes or
@@ -587,9 +591,10 @@ class SensorFleet:
         if not isinstance(raw, (bytes, bytearray)):
             raw = bytes(raw)  # replay/fallback logs need stable bytes
         shard = self._shard_of_fields(*Packet.peek_flow(raw))
-        self._enqueue(shard, (self._seq, raw, timestamp))
+        return self._enqueue(shard, (self._seq, raw, timestamp))
 
-    def _enqueue(self, shard: int, item: tuple) -> None:
+    def _enqueue(self, shard: int, item: tuple) -> list[Alert]:
+        before = len(self.alerts)
         self._batches[shard].append(item)
         self._seq += 1
         self._dispatched.inc()
@@ -597,6 +602,7 @@ class SensorFleet:
             self._ship(shard)
         self._collect(blocking=False)
         self._maybe_checkpoint()
+        return self.alerts[before:]
 
     def process_trace(self, packets) -> list[Alert]:
         """Feed a whole capture of decoded packets; returns all alerts,

@@ -231,13 +231,7 @@ class SemanticNids:
             )
             if should:
                 state.analysis_rounds += 1
-                data = stream.data()
-                if self.reanalysis_overlap is not None:
-                    # Incremental re-analysis: the already-analyzed prefix
-                    # is skipped except for a fixed overlap window sized to
-                    # cover any frame/sled straddling the old boundary.
-                    window_start = max(0, state.analyzed_len - self.reanalysis_overlap)
-                    data = data[window_start:]
+                data = stream.window(self._window_start(state))
                 state.analyzed_len = contiguous
                 new_alerts = self._analyze_payload(pkt, data, state)
         elif pkt.payload:
@@ -279,10 +273,7 @@ class SemanticNids:
                     or state.analysis_rounds >= self.max_rounds_per_stream):
                 continue
             state.analysis_rounds += 1
-            data = stream.data()
-            if self.reanalysis_overlap is not None:
-                window_start = max(0, state.analyzed_len - self.reanalysis_overlap)
-                data = data[window_start:]
+            data = stream.window(self._window_start(state))
             state.analyzed_len = contiguous
             # Attribution context: the stream's sender, stamped with its
             # last activity (there is no "current packet" at flush time).
@@ -290,6 +281,17 @@ class SemanticNids:
                                  proto=stream.key.proto),
                          timestamp=stream.stats.last_seen)
             self._analyze_payload(pkt, data, state)
+
+    def _window_start(self, state: _StreamState) -> int:
+        """Stream offset a re-analysis round starts from.
+
+        Incremental re-analysis: the already-analyzed prefix is skipped
+        except for a fixed overlap window sized to cover any frame/sled
+        straddling the old boundary.
+        """
+        if self.reanalysis_overlap is None:
+            return 0
+        return max(0, state.analyzed_len - self.reanalysis_overlap)
 
     def _on_stream_evicted(self, key: FlowKey) -> None:
         """Reassembler eviction hook: drop the matching analysis state so
@@ -314,7 +316,9 @@ class SemanticNids:
 
     # -- crash-safe checkpointing --------------------------------------------
 
-    STATE_VERSION = 1
+    #: 2: a stream's contiguous prefix is held once, in ``_assembled``;
+    #: its segments are only the out-of-order bytes beyond it.
+    STATE_VERSION = 2
 
     def snapshot_state(self) -> dict:
         """Picklable snapshot of all detection-relevant mutable state.

@@ -64,10 +64,11 @@ class CheckpointStore:
     def save(self, payload: dict[str, Any]) -> Path:
         started = self._clock()
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        frame = _HEADER.pack(_MAGIC, _VERSION, len(blob), zlib.crc32(blob)) + blob
+        header = _HEADER.pack(_MAGIC, _VERSION, len(blob), zlib.crc32(blob))
         tmp = self.path.with_suffix(".bin.tmp")
         with open(tmp, "wb") as fh:
-            fh.write(frame)
+            fh.write(header)
+            fh.write(blob)
             fh.flush()
             os.fsync(fh.fileno())
         if self.pre_rename is not None:

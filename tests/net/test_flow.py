@@ -1,5 +1,7 @@
 """Tests for repro.net.flow: flow keys and TCP reassembly."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -167,6 +169,155 @@ class TestAssemblyCache:
         r.feed(_seg(b"hello", 995))
         assert stream.data() == b"helloworld"
         assert stream.contiguous_length() == 10
+
+
+class TestWindow:
+    def test_window_is_the_prefix_suffix(self):
+        r = StreamReassembler()
+        stream = r.feed(_seg(b"hello ", 100))
+        r.feed(_seg(b"world", 106))
+        assert stream.window(0) == b"hello world"
+        assert stream.window(6) == b"world"
+        assert stream.window(11) == b""
+        assert stream.window(50) == b""
+
+    def test_window_stops_at_the_first_hole(self):
+        r = StreamReassembler()
+        stream = r.feed(_seg(b"abc", 100))
+        r.feed(_seg(b"xyz", 110))
+        assert stream.window(1) == b"bc"
+
+    def test_window_does_not_fill_the_data_cache(self):
+        r = StreamReassembler()
+        stream = r.feed(_seg(b"abc", 100))
+        assert type(stream.window(0)) is bytes
+        assert stream._data_cache is None
+
+
+def _each_byte_once(stream):
+    """Every buffered byte sits in exactly one place: the prefix, or one
+    out-of-order segment beyond it."""
+    held = len(stream._assembled) + sum(
+        len(seg) for seg in stream.segments.values())
+    return (held == stream.buffered
+            and all(off > len(stream._assembled) for off in stream.segments))
+
+
+#: (seq, payload) sequences over a stream whose SYN sets base_seq = 100
+#: (``None`` is the SYN itself), each exercising one merge path.
+ROUND_TRIP_SEQUENCES = {
+    "out-of-order": [None, (111, b"!"), (106, b"world"), (100, b"hello "),
+                     (112, b"??")],
+    "overlapping": [None, (100, b"abcd"), (102, b"XXefgh"), (100, b"ZZZZZZZ"),
+                    (106, b"YYij"), (109, b"Wk")],
+    "hole-filling": [None, (100, b"ab"), (104, b"ef"), (108, b"ij"),
+                     (102, b"cd"), (106, b"gh"), (103, b"QQQQQQQ")],
+    "rebasing": [(1000, b"world"), (1008, b"xyz"), (995, b"hello"),
+                 (990, b"early-hel"), (1005, b"!!!"), (985, b"first")],
+}
+
+
+def _feed(stream, step, as_view):
+    if step is None:
+        return stream.add(_seg(b"", 99, flags=TCP_SYN))
+    seq, payload = step
+    pkt = _seg(payload, seq)
+    if as_view:
+        pkt.payload = memoryview(bytes(pkt.payload))  # zero-copy front end
+    return stream.add(pkt)
+
+
+class TestStreamRoundTrip:
+    """A stream pickled mid-way (a checkpoint) and fed the rest behaves
+    exactly like the live stream fed the same rest."""
+
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIP_SEQUENCES))
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("as_view", [False, True])
+    def test_restored_stream_matches_live(self, name, cached, as_view):
+        steps = ROUND_TRIP_SEQUENCES[name]
+        for split in range(len(steps) + 1):
+            live = Stream(key=FlowKey("1.1.1.1", "2.2.2.2", 1000, 80))
+            for step in steps[:split]:
+                _feed(live, step, as_view)
+            if cached:  # fill data()'s cache before the snapshot
+                live.data()
+            restored = pickle.loads(pickle.dumps(live))
+            for step in steps[split:]:
+                assert (_feed(live, step, as_view)
+                        == _feed(restored, step, as_view)), (name, split)
+            assert restored.data() == live.data()
+            for k in range(len(live.data()) + 2):
+                assert restored.window(k) == live.window(k)
+            assert restored.buffered == live.buffered
+            assert restored.contiguous_length() == live.contiguous_length()
+            assert _each_byte_once(live) and _each_byte_once(restored)
+
+    def test_final_contents(self):
+        expected = {"out-of-order": b"hello world!??",
+                    "overlapping": b"abcdefghijk",
+                    "hole-filling": b"abcdefghij",
+                    "rebasing": b"firstearlyhelloworld!!!xyz"}
+        for name, steps in ROUND_TRIP_SEQUENCES.items():
+            stream = Stream(key=FlowKey("a", "b", 1, 2))
+            for step in steps:
+                _feed(stream, step, False)
+            assert stream.data() == expected[name], name
+
+    def test_checkpoint_carries_no_data_cache(self):
+        stream = Stream(key=FlowKey("a", "b", 1, 2))
+        stream.add(_seg(b"abc", 100))
+        stream.data()
+        assert stream.__getstate__()["_data_cache"] is None
+        assert pickle.loads(pickle.dumps(stream)).data() == b"abc"
+
+
+class _ByteMapOracle:
+    """Naive first-writer-wins reassembly: one dict entry per byte."""
+
+    def __init__(self):
+        self.base = None
+        self.bytes = {}
+
+    def add(self, seq, payload):
+        if self.base is None or seq < self.base:
+            self.base = seq
+        trimmed = 0
+        for i, byte in enumerate(payload):
+            if seq + i in self.bytes:
+                trimmed += 1
+            else:
+                self.bytes[seq + i] = byte
+        return trimmed
+
+    def data(self):
+        out, pos = bytearray(), self.base
+        while pos in self.bytes:
+            out.append(self.bytes[pos])
+            pos += 1
+        return bytes(out)
+
+
+@given(st.lists(st.tuples(st.integers(1000, 1300),
+                          st.binary(min_size=1, max_size=40)),
+                min_size=1, max_size=20),
+       st.integers(0, 20), st.integers(0, 400))
+def test_stream_matches_byte_map_oracle(steps, split, k):
+    """The coalesced stream — prefix plus out-of-order segments, pickled
+    at an arbitrary point — agrees with the byte-map oracle on every trim
+    count, the prefix, any window and the buffered byte count."""
+    oracle = _ByteMapOracle()
+    stream = Stream(key=FlowKey("a", "b", 1, 2))
+    for i, (seq, payload) in enumerate(steps):
+        if i == split:
+            stream = pickle.loads(pickle.dumps(stream))
+        assert stream.add(_seg(payload, seq)) == oracle.add(seq, payload)
+        if i % 3 == 0:
+            assert stream.data() == oracle.data()
+    assert stream.data() == oracle.data()
+    assert stream.window(k) == oracle.data()[k:]
+    assert stream.buffered == len(oracle.bytes)
+    assert _each_byte_once(stream)
 
 
 @given(st.binary(min_size=1, max_size=300), st.randoms())

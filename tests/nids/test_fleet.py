@@ -6,7 +6,7 @@ import pytest
 
 from repro.engines.shellcode import get_shellcode
 from repro.net.packet import udp_packet
-from repro.nids import SemanticNids, SensorFleet
+from repro.nids import IterPacketSource, SemanticNids, SensorDaemon, SensorFleet
 from repro.traffic.traces import build_table3_trace
 
 DARK = dict(dark_networks=["10.0.0.0/8"], dark_exclude=["10.10.0.0/24"],
@@ -64,6 +64,28 @@ class TestParity:
                 return [_alert_key(a) for a in fleet.flush()]
 
         assert run() == run()
+
+
+class TestDaemonDelivery:
+    def test_barrier_alerts_reach_the_sink_once_in_order(
+            self, tmp_path, trace, serial_alerts):
+        """A durable fleet merges packet alerts at its checkpoint
+        barriers, inside ``process_packet``; the daemon over it must
+        deliver those as well as what ``flush`` returns — every serial
+        alert exactly once, in the serial order."""
+        delivered = []
+        with SensorFleet(workers=2, batch_size=32, nids_options=DARK,
+                         checkpoint_dir=tmp_path / "fleet",
+                         checkpoint_interval=1000) as fleet:
+            daemon = SensorDaemon(fleet, IterPacketSource(iter(trace)),
+                                  shed_policy="block",
+                                  on_alert=delivered.append)
+            daemon.run()
+            barriers = fleet.stats.checkpoints
+        assert barriers >= 2  # alerts come from barriers *and* the flush
+        assert len(serial_alerts) > 0
+        assert list(map(_alert_key, delivered)) == \
+            list(map(_alert_key, serial_alerts))
 
 
 class TestMetricsAggregation:

@@ -1,5 +1,7 @@
 """Tests for the five-stage NIDS pipeline."""
 
+import pickle
+
 import pytest
 
 from repro.engines.codered import CodeRedHost
@@ -10,6 +12,7 @@ from repro.net.wire import Host, Wire
 from repro.nids.alerts import Alert, BlockList
 from repro.nids.pipeline import SemanticNids
 from repro.nids.sensor import NidsSensor
+from repro.traffic import month_of_traffic
 
 HONEYPOT = "10.10.0.250"
 
@@ -198,3 +201,46 @@ class TestBoundedStreamState:
     def test_max_streams_reaches_reassembler(self):
         nids = SemanticNids(max_streams=7)
         assert nids.reassembler.max_streams == 7
+
+
+class TestSnapshotState:
+    @pytest.fixture(scope="class")
+    def benign_nids(self):
+        """The 5.4 setting: classification off, every stream tracked."""
+        packets, _ = month_of_traffic(seed=3, payload_bytes=60_000)
+        nids = SemanticNids(classification_enabled=False)
+        for pkt in packets:
+            nids.process_packet(pkt)
+        return nids
+
+    def test_checkpoint_holds_each_stream_byte_once(self, benign_nids):
+        """A stream's prefix used to be pickled three times (segments,
+        assembled prefix, bytes cache); the snapshot must stay near one
+        copy of the buffered bytes plus a small per-stream overhead."""
+        streams = benign_nids.snapshot_state()["streams"]
+        buffered = benign_nids.reassembler.bytes_buffered
+        assert len(streams) > 100 and buffered > 100_000
+        size = len(pickle.dumps(streams))
+        assert size < 1.2 * buffered + 256 * len(streams)
+
+    def test_round_trip_restores_streams(self, benign_nids):
+        state = pickle.loads(pickle.dumps(benign_nids.snapshot_state()))
+        fresh = SemanticNids(classification_enabled=False)
+        fresh.restore_state(state)
+        assert (fresh.reassembler.bytes_buffered
+                == benign_nids.reassembler.bytes_buffered)
+        for key, stream in benign_nids.reassembler.streams.items():
+            assert fresh.reassembler.streams[key].data() == stream.data()
+
+    def test_version_1_snapshot_is_refused(self, benign_nids):
+        """Version 1 streams held their prefix in ``segments`` as well as
+        in the assembled buffer; restoring one would keep every byte
+        twice, so it is refused rather than silently accepted."""
+        state = benign_nids.snapshot_state()
+        assert state["version"] == SemanticNids.STATE_VERSION == 2
+        state["version"] = 1
+        fresh = SemanticNids(classification_enabled=False)
+        with pytest.raises(ValueError, match="state version 1 != 2"):
+            fresh.restore_state(state)
+        assert fresh.reassembler.streams == {}
+        assert fresh.reassembler.bytes_buffered == 0

@@ -12,8 +12,9 @@ Checks, over README.md, EXPERIMENTS.md, DESIGN.md, and docs/:
    imported and any remaining components are resolved with getattr, so
    a renamed function or class rots loudly;
 4. every ``--flag`` token names a real option of a CLI tool in
-   ``src/repro/cli.py`` (plus a small allowlist for third-party tools
-   like pytest's ``--benchmark-only``);
+   ``src/repro/cli.py`` or of the benchmark runner ``perfbench/run.py``
+   (plus a small allowlist for third-party tools like pytest's
+   ``--benchmark-only``);
 5. the scenario-DSL reference table in ``docs/scenarios.md`` agrees
    with the live schema (``repro.scenario.schema_keys()``) in both
    directions: a documented key the schema dropped fails, and so does
@@ -62,10 +63,15 @@ def anchors_of(path: Path) -> set[str]:
     return {github_slug(h) for h in HEADING_RE.findall(path.read_text())}
 
 
+#: sources whose ``"--flag"`` literals define the repository's CLI options
+CLI_SOURCES = [REPO / "src" / "repro" / "cli.py", REPO / "perfbench" / "run.py"]
+
+
 def cli_flags() -> set[str]:
-    """Every ``--flag`` literal in the CLI source."""
-    source = (REPO / "src" / "repro" / "cli.py").read_text()
-    return set(re.findall(r'"(--[a-z][a-z0-9-]+)"', source))
+    """Every ``--flag`` literal in the CLI sources."""
+    return {flag for source in CLI_SOURCES
+            for flag in re.findall(r'"(--[a-z][a-z0-9-]+)"',
+                                   source.read_text())}
 
 
 def check_links(path: Path, text: str, errors: list[str]) -> None:
@@ -145,7 +151,7 @@ def check_flags(path: Path, text: str, errors: list[str],
         if flag not in known and flag not in FLAG_ALLOWLIST:
             errors.append(
                 f"{path.name}: flag {flag} is not an option of any tool "
-                f"in src/repro/cli.py")
+                f"in src/repro/cli.py or perfbench/run.py")
 
 
 def main() -> int:
